@@ -92,10 +92,12 @@ bench-shards-json:
 # straddle detection, and the accumulator memory-budget ledger. The shard
 # tier's chaos suite joins them: kill-one-shard Degraded-never-wrong, the
 # mid-span crash journal replay on a shard journal, and the scatter/gather
-# bit-identity contracts.
+# bit-identity contracts. The lock-free λ table's concurrent-fill test rides
+# next to the incremental equivalence suite it underpins: 8 goroutines
+# hammering one shared table must reproduce a serial fill exactly.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard' \
-		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./cmd/dcsd/...
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|LambdaTableConcurrent' \
+		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/unaligned/... ./cmd/dcsd/...
 
 # Short fuzz of the crash/byte-level decoders: the transport wire reader, the
 # UDP datagram decoder, the journal recovery scanner, and the trace replay

@@ -65,6 +65,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -181,9 +182,10 @@ func finish(jr *journal.Journal, ev *eventLog, push *shardPush, rep center.Windo
 func analyzeEpoch(c *center.Center, jr *journal.Journal, ev *eventLog, push *shardPush, epoch int) {
 	start := time.Now()
 	rep, err := c.Analyze(epoch)
-	if errors.Is(err, center.ErrNotOwned) {
-		// A context epoch whose span belongs to another shard: its digests
-		// served their purpose in spans this shard did own.
+	if errors.Is(err, center.ErrNotOwned) || errors.Is(err, center.ErrSpanClosed) {
+		// A context epoch whose span belongs to another shard, or (under
+		// -slide) whose span a newer one already closed: its digests served
+		// their purpose in the spans that were emitted.
 		return
 	}
 	if err != nil {
@@ -217,6 +219,57 @@ func drainComplete(c *center.Center, jr *journal.Journal, ev *eventLog, push *sh
 		}
 		finish(jr, ev, push, rep, time.Since(start))
 	}
+}
+
+// quiescence is the window-tick close policy. Epochs superseded by a newer
+// one are done by definition; the newest epoch closes once it sat out a
+// full tick with no new digests, preserving the old timer-window behaviour
+// for single-epoch deployments. The quorum gate can veto a quiescence close
+// for up to maxWait ticks — a fleet that stopped advancing epochs would
+// otherwise never satisfy the gate's own epoch-based bound.
+type quiescence struct {
+	maxWait   int
+	prev      map[int]int // digest count per epoch at the previous tick
+	heldTicks map[int]int
+}
+
+func newQuiescence(maxWait int) *quiescence {
+	return &quiescence{maxWait: maxWait, prev: map[int]int{}, heldTicks: map[int]int{}}
+}
+
+// tick runs one window tick: shed tombstones, superseded epochs, then every
+// epoch whose digest count did not move since the previous tick.
+func (q *quiescence) tick(c *center.Center, jr *journal.Journal, ev *eventLog, push *shardPush) {
+	drainShed(c, jr, ev, push)
+	drainComplete(c, jr, ev, push)
+	counts := c.EpochDigests()
+	// Ascending order: closing a span retires the epochs at and below its
+	// start, so visiting a newer epoch first would leave an older one's
+	// count stale and its Analyze failing with ErrNoWindow.
+	epochs := make([]int, 0, len(counts))
+	for e := range counts {
+		epochs = append(epochs, e)
+	}
+	sort.Ints(epochs)
+	for _, e := range epochs {
+		n := counts[e]
+		if q.prev[e] != n {
+			continue
+		}
+		if qs := c.Quorum(e); qs.Hold {
+			q.heldTicks[e]++
+			if q.heldTicks[e] <= q.maxWait {
+				log.Printf("epoch %d held below quorum (%d reported, missing routers %v), tick %d/%d",
+					e, qs.Reported, qs.Missing, q.heldTicks[e], q.maxWait)
+				continue
+			}
+			log.Printf("epoch %d exhausted quorum wait; analyzing degraded", e)
+		}
+		analyzeEpoch(c, jr, ev, push, e)
+		delete(counts, e)
+		delete(q.heldTicks, e)
+	}
+	q.prev = counts
 }
 
 func logStats(srv *transport.Server, usrv *transport.UDPServer, c *center.Center) {
@@ -481,39 +534,11 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ticker := time.NewTicker(*window)
 	defer ticker.Stop()
-	prev := map[int]int{}
-	heldTicks := map[int]int{}
+	q := newQuiescence(*maxWait)
 	for {
 		select {
 		case <-ticker.C:
-			// Epochs superseded by a newer one are done by definition;
-			// the newest epoch closes once it sat out a full tick with no
-			// new digests (quiescence), preserving the old timer-window
-			// behaviour for single-epoch deployments. The quorum gate can
-			// veto a quiescence close for up to -max-wait ticks — a fleet
-			// that stopped advancing epochs would otherwise never satisfy
-			// the gate's own epoch-based bound.
-			drainShed(c, jr, ev, push)
-			drainComplete(c, jr, ev, push)
-			counts := c.EpochDigests()
-			for e, n := range counts {
-				if prev[e] != n {
-					continue
-				}
-				if q := c.Quorum(e); q.Hold {
-					heldTicks[e]++
-					if heldTicks[e] <= *maxWait {
-						log.Printf("epoch %d held below quorum (%d reported, missing routers %v), tick %d/%d",
-							e, q.Reported, q.Missing, heldTicks[e], *maxWait)
-						continue
-					}
-					log.Printf("epoch %d exhausted quorum wait; analyzing degraded", e)
-				}
-				analyzeEpoch(c, jr, ev, push, e)
-				delete(counts, e)
-				delete(heldTicks, e)
-			}
-			prev = counts
+			q.tick(c, jr, ev, push)
 			if *stats {
 				logStats(srv, usrv, c)
 			}

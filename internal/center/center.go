@@ -18,6 +18,7 @@ package center
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -43,6 +44,12 @@ const (
 // ErrNoWindow reports an Analyze call for an epoch the center holds no
 // digests for (never seen, already analyzed, or evicted).
 var ErrNoWindow = errors.New("center: no such epoch window")
+
+// ErrSpanClosed reports an Analyze call, in sliding mode, for an epoch whose
+// span a newer span already foreclosed: the window still buffers digests as
+// context for the spans ahead of it, but its own span is never emitted. It
+// wraps ErrNoWindow.
+var ErrSpanClosed = fmt.Errorf("%w: span already closed", ErrNoWindow)
 
 // ErrNoCompleteEpoch reports that every buffered digest belongs to the
 // newest epoch seen so far, which may still be filling.
@@ -336,50 +343,15 @@ type Center struct {
 	// spans ending at or below it are foreclosed (sliding mode only).
 	spanClosed      int  // guarded by mu
 	spanClosedValid bool // guarded by mu
-
-	// lambdaTables caches λ threshold tables across analyzes. A table's
-	// entries are lazily memoized pure functions of (bits, p*), and in
-	// steady state every epoch reuses the same handful of geometries — a
-	// fresh table per Analyze would re-pay the hypergeometric tail search
-	// for every distinct weight pair on every finalize, which dominates
-	// the finalize cost once everything else is incremental.
-	tableMu      sync.Mutex
-	lambdaTables map[lambdaKey]*unaligned.LambdaTable
-}
-
-// lambdaKey identifies a λ table by geometry and tail probability.
-type lambdaKey struct {
-	bits  int
-	pstar float64
-}
-
-// lambdaTable returns the cached λ table for (bits, pstar), building it on
-// first use. Tables are safe for concurrent readers and their memoized
-// thresholds are deterministic, so sharing across analyzes cannot change
-// any result — only skip recomputing it.
-func (c *Center) lambdaTable(bits int, pstar float64) (*unaligned.LambdaTable, error) {
-	key := lambdaKey{bits: bits, pstar: pstar}
-	c.tableMu.Lock()
-	defer c.tableMu.Unlock()
-	if t, ok := c.lambdaTables[key]; ok {
-		return t, nil
-	}
-	t, err := unaligned.NewLambdaTable(bits, pstar)
-	if err != nil {
-		return nil, err
-	}
-	c.lambdaTables[key] = t
-	return t, nil
 }
 
 // New builds a center.
 func New(cfg Config) *Center {
 	c := &Center{
-		cfg:          cfg.withDefaults(),
-		windows:      make(map[int]*window),
-		evicted:      make(map[int]bool),
-		lastSeen:     make(map[int]int),
-		lambdaTables: make(map[lambdaKey]*unaligned.LambdaTable),
+		cfg:      cfg.withDefaults(),
+		windows:  make(map[int]*window),
+		evicted:  make(map[int]bool),
+		lastSeen: make(map[int]int),
 	}
 	if c.cfg.Analysis == AnalysisIncremental {
 		c.tracker = unaligned.NewTracker(unaligned.TrackerConfig{
@@ -813,8 +785,8 @@ func (c *Center) EpochDigests() map[int]int {
 // Analyze closes the span ending at the given epoch, analyzes it, and
 // retires every window that has left all future spans (outside sliding mode:
 // exactly this window); later digests for retired epochs count as late.
-// ErrNoWindow when the center holds nothing for the epoch, or when a newer
-// sliding span already foreclosed this one.
+// ErrNoWindow when the center holds nothing for the epoch; ErrSpanClosed
+// (which wraps it) when a newer sliding span already foreclosed this one.
 func (c *Center) Analyze(epoch int) (WindowReport, error) {
 	c.mu.Lock()
 	if rep, shed := c.shedReports[epoch]; shed {
@@ -906,7 +878,7 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 	if p1 == 0 {
 		p1 = 0.5 / float64(n)
 	}
-	lt, err := c.lambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
+	lt, err := unaligned.SharedLambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
 	if err != nil {
 		return nil, err
 	}
@@ -930,7 +902,7 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 	if coreP1 == 0 {
 		coreP1 = 8 / float64(n)
 	}
-	coreTable, err := c.lambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
+	coreTable, err := unaligned.SharedLambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
 	if err != nil {
 		return nil, err
 	}

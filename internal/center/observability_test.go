@@ -1,13 +1,16 @@
 package center
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"dcstream/internal/bitvec"
 	"dcstream/internal/metrics"
 	"dcstream/internal/transport"
+	"dcstream/internal/unaligned"
 )
 
 // TestEvictionTombstoneBlocksReopen is the regression test for the silent
@@ -219,6 +222,48 @@ func TestMetricsScrapeUnderChaosIngest(t *testing.T) {
 	} {
 		if final[name] != float64(want) {
 			t.Fatalf("final exposition %s = %v, snapshot says %d", name, final[name], want)
+		}
+	}
+}
+
+// TestLambdaTableMetricsExported checks that /metrics carries the shared λ
+// table registry's work counters and that an unaligned analysis moves them:
+// a geometry no other test uses forces a fresh table, so both the computed
+// thresholds and the allocated rows must grow.
+func TestLambdaTableMetricsExported(t *testing.T) {
+	lt := unaligned.SharedLambdaStats()
+	misses0, rows0 := lt.Misses.Load(), lt.Rows.Load()
+
+	c := New(Config{})
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
+	for r := 0; r < 4; r++ {
+		d := &unaligned.Digest{RouterID: r, Rows: [][]*bitvec.Vector{{bitvec.New(72), bitvec.New(72)}}}
+		d.Rows[0][0].Set(r)
+		c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: d})
+	}
+	if _, err := c.Analyze(1); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if _, err := reg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses, rows := lt.Misses.Load(), lt.Rows.Load()
+	if misses <= misses0 || rows <= rows0 {
+		t.Fatalf("analysis moved no λ work: misses %d -> %d, rows %d -> %d", misses0, misses, rows0, rows)
+	}
+	for name, want := range map[string]int64{
+		"dcs_lambda_table_misses_total": misses,
+		"dcs_lambda_table_rows":         rows,
+	} {
+		if got, ok := samples[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), registry says %d", name, got, ok, want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package center
 
-import "dcstream/internal/metrics"
+import (
+	"dcstream/internal/metrics"
+	"dcstream/internal/unaligned"
+)
 
 // Stats counts ingest-path events with atomic counters so per-connection
 // handler goroutines can bump them locklessly and cmd/dcsd can report them
@@ -77,9 +80,10 @@ var centerLatencyBuckets = []float64{
 }
 
 // Register exposes every counter (and the ingest→analyze histogram) on r
-// under dcs_center_* names. The fields stay the single source of truth:
-// registration attaches them, it does not copy them, so `dcsd -stats` and a
-// /metrics scrape always print the same numbers.
+// under dcs_center_* names, plus the shared λ-table registry's work
+// counters under dcs_lambda_table_*. The fields stay the single source of
+// truth: registration attaches them, it does not copy them, so `dcsd
+// -stats` and a /metrics scrape always print the same numbers.
 func (s *Stats) Register(r *metrics.Registry) {
 	r.RegisterCounter("dcs_center_digests_ingested_total",
 		"digests accepted into an epoch window as a new (router, epoch, kind) entry", &s.DigestsIngested)
@@ -111,6 +115,13 @@ func (s *Stats) Register(r *metrics.Registry) {
 		"latency from a window's first digest to its analysis completing", &s.IngestToAnalyzeSeconds)
 	r.RegisterHistogram("dcs_center_finalize_seconds",
 		"wall time from span detach to report, the analyze-path cost", &s.FinalizeSeconds)
+	// The λ tables are process-wide (every center shares them), so these
+	// two are the registry's own counters, not fields of s.
+	lt := unaligned.SharedLambdaStats()
+	r.RegisterCounter("dcs_lambda_table_misses_total",
+		"lambda thresholds computed by the shared table registry (lookups that found an empty slot)", &lt.Misses)
+	r.RegisterGauge("dcs_lambda_table_rows",
+		"weight rows allocated across the shared lambda tables", &lt.Rows)
 }
 
 // Snapshot is a plain-int copy of Stats, safe to compare and print.

@@ -76,7 +76,7 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 		// A newer span already closed; spans end in order, so this one is
 		// foreclosed even though its closing window still buffers digests
 		// for the spans ahead of it.
-		return nil, fmt.Errorf("%w: %d", ErrNoWindow, epoch)
+		return nil, fmt.Errorf("%w: %d", ErrSpanClosed, epoch)
 	}
 	s := &spanSnapshot{epoch: epoch, start: epoch - slide + 1, meta: c.metaLocked(epoch, w)}
 	reporters := map[int]bool{}
@@ -361,7 +361,7 @@ func (c *Center) analyzeUnalignedEv(ev *unaligned.SpanEvidence, digests int, met
 	if p1 == 0 {
 		p1 = 0.5 / float64(n)
 	}
-	lt, err := c.lambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
+	lt, err := unaligned.SharedLambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +385,7 @@ func (c *Center) analyzeUnalignedEv(ev *unaligned.SpanEvidence, digests int, met
 	if coreP1 == 0 {
 		coreP1 = 8 / float64(n)
 	}
-	coreTable, err := c.lambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
+	coreTable, err := unaligned.SharedLambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The selftests only read the loaded packages, so they share one
+// type-check of the module instead of paying for it once per test.
+var moduleLoad struct {
+	once sync.Once
+	root string
+	pkgs []*Package
+	err  error
+}
+
+// loadModuleOnce returns the module root and its packages, loading them on
+// first use.
+func loadModuleOnce(t *testing.T) (string, []*Package) {
+	t.Helper()
+	moduleLoad.once.Do(func() {
+		moduleLoad.root, moduleLoad.err = FindModuleRoot(".")
+		if moduleLoad.err == nil {
+			moduleLoad.pkgs, moduleLoad.err = LoadModule(moduleLoad.root)
+		}
+	})
+	if moduleLoad.err != nil {
+		t.Fatal(moduleLoad.err)
+	}
+	return moduleLoad.root, moduleLoad.pkgs
+}
 
 // TestModuleIsClean runs every dcslint rule over the real dcstream module and
 // asserts zero unsuppressed findings — the same bar `make lint` enforces, so
@@ -14,14 +40,7 @@ func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source; skipped in -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModuleOnce(t)
 	if len(pkgs) == 0 {
 		t.Fatal("LoadModule returned no packages")
 	}
@@ -50,14 +69,7 @@ func TestLoadModuleCoversWholeModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source; skipped in -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadModuleOnce(t)
 	loaded := make(map[string]bool, len(pkgs))
 	for _, pkg := range pkgs {
 		loaded[pkg.Path] = true
@@ -70,7 +82,7 @@ func TestLoadModuleCoversWholeModule(t *testing.T) {
 	// Independent ground truth: every directory under the module with at
 	// least one non-test .go file (minus the loader's documented exclusions)
 	// must appear in the load.
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -144,14 +156,7 @@ func TestErrcritCoversShardTier(t *testing.T) {
 	if !segmentIn("shard", errcritPkgs) {
 		t.Error("errcrit scope lost \"shard\"; dropped scatter/report-push write errors would go unlinted")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModuleOnce(t)
 	remaining := map[string][]string{}
 	for k, v := range shardCriticalFiles {
 		remaining[k] = v
@@ -195,14 +200,7 @@ func TestDeterminismRulesCoverIncrementalState(t *testing.T) {
 		}
 	}
 
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModuleOnce(t)
 	for _, pkg := range pkgs {
 		want := incrementalStateFiles[pkg.Path]
 		if want == nil {

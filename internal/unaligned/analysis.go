@@ -186,8 +186,9 @@ func (gm *GroupMatrix) correlated(u, v int, lambda *LambdaTable) bool {
 	ru, rv := gm.rows[u], gm.rows[v]
 	wu, wv := gm.weights[u], gm.weights[v]
 	for a := range ru {
+		lrow := lambda.Row(wu[a])
 		for b := range rv {
-			t := lambda.Threshold(wu[a], wv[b])
+			t := lrow.At(wv[b])
 			minW := wu[a]
 			if wv[b] < minW {
 				minW = wv[b]

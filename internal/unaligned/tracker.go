@@ -76,7 +76,6 @@ type Tracker struct {
 	verts    map[int]int         // current vertex (group) count per epoch
 	maxVerts map[int]int         // historical high-water mark per epoch
 	pairs    map[trPairKey]*trPair
-	tables   map[uint64]*LambdaTable // prune tables keyed by (bits, arrays, pow2 n-low)
 	bytes    int64
 }
 
@@ -92,7 +91,6 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 		verts:    map[int]int{},
 		maxVerts: map[int]int{},
 		pairs:    map[trPairKey]*trPair{},
-		tables:   map[uint64]*LambdaTable{},
 	}
 }
 
@@ -119,19 +117,26 @@ func memberBytes(m *trMember) int64 {
 // guaranteed to hold at least nLow vertices, or nil when no sound prune
 // exists (tiny spans where the implied edge probability leaves (0,1): every
 // row pair is then kept as evidence, which is cheap precisely because the
-// span is tiny). nLow is bucketed to its floor power of two so at most
-// log2(n) tables are ever built per geometry.
+// span is tiny). Tables come from the shared registry, so the thresholds
+// the prune computes are the ones every later analysis of the same
+// geometry reuses.
 func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
-	if nLow < 1 {
-		nLow = 1
+	pstar := t.prunePStar(arrays, nLow)
+	if !(pstar > 0 && pstar < 1) { // also rejects the NaN of an edge probability above 1
+		return nil
 	}
+	tab, _ := SharedLambdaTable(bits, pstar)
+	return tab
+}
+
+// prunePStar is the per-row-pair tail probability of the loose prune: the
+// larger of the ER and core-graph edge probabilities at nLow vertices, with
+// nLow bucketed to its floor power of two so at most log2(n) prune tables
+// exist per geometry.
+func (t *Tracker) prunePStar(arrays, nLow int) float64 {
 	pow2 := 1
 	for pow2*2 <= nLow {
 		pow2 *= 2
-	}
-	key := uint64(bits)<<40 | uint64(arrays)<<20 | uint64(pow2)
-	if tab, ok := t.tables[key]; ok {
-		return tab
 	}
 	er := t.cfg.TargetP1
 	if er == 0 {
@@ -145,13 +150,7 @@ func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
 	if core > p1 {
 		p1 = core
 	}
-	var tab *LambdaTable
-	pstar := PStarForEdgeProbability(p1, arrays*arrays)
-	if pstar > 0 && pstar < 1 {
-		tab, _ = NewLambdaTable(bits, pstar)
-	}
-	t.tables[key] = tab // nil is cached too: "no prune" is also an answer
-	return tab
+	return PStarForEdgeProbability(p1, arrays*arrays)
 }
 
 // Add registers a digest for (epoch, router) and computes row evidence
@@ -236,10 +235,14 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 			rb := y.rows[gb]
 			for a := range ra {
 				wa := x.weights[ga][a]
+				var lrow *LambdaRow
+				if tab != nil {
+					lrow = tab.Row(wa)
+				}
 				for b := range rb {
 					wb := y.weights[gb][b]
-					if tab != nil {
-						lam := tab.Threshold(wa, wb)
+					if lrow != nil {
+						lam := lrow.At(wb)
 						minW := wa
 						if wb < minW {
 							minW = wb
@@ -404,9 +407,15 @@ func (s *SpanEvidence) Vertex(v int) Vertex { return s.vertices[v] }
 // deterministic regardless of evidence order.
 func (s *SpanEvidence) Edges(table *LambdaTable) [][2]int32 {
 	var edges [][2]int32
+	var lrow *LambdaRow
 	for _, p := range s.pairs {
 		for _, e := range p.entries {
-			if int(e.count) > table.Threshold(int(e.wa), int(e.wb)) {
+			// Entries run in (group, row) order, so consecutive ones mostly
+			// share their source row and its λ row.
+			if lrow == nil || lrow.i != int(e.wa) {
+				lrow = table.Row(int(e.wa))
+			}
+			if int(e.count) > lrow.At(int(e.wb)) {
 				u, v := p.ba+int32(e.ga), p.bb+int32(e.gb)
 				if u > v {
 					u, v = v, u
